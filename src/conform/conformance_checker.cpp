@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "conform/conform_error.hpp"
+#include "conform/member_name_index.hpp"
 #include "reflect/primitives.hpp"
 #include "util/interning.hpp"
 #include "util/levenshtein.hpp"
@@ -72,25 +73,6 @@ bool ConformanceChecker::name_conforms(std::string_view source_name,
   }
   return util::levenshtein_within(source_name, target_name, options_.max_name_distance,
                                   /*case_insensitive=*/true);
-}
-
-bool ConformanceChecker::member_name_conforms(std::string_view source_name,
-                                              std::string_view target_name) const {
-  if (options_.allow_wildcards &&
-      target_name.find_first_of("*?") != std::string_view::npos) {
-    return util::wildcard_match(target_name, source_name);
-  }
-  switch (options_.member_name_rule) {
-    case MemberNameRule::Exact:
-      return util::levenshtein_within(source_name, target_name,
-                                      options_.max_name_distance, true);
-    case MemberNameRule::Contains:
-      return util::icontains(source_name, target_name) ||
-             util::icontains(target_name, source_name);
-    case MemberNameRule::TokenSubset:
-      return util::token_subset_match(source_name, target_name);
-  }
-  return false;
 }
 
 CheckResult ConformanceChecker::check(const TypeDescription& source,
@@ -409,10 +391,13 @@ bool ConformanceChecker::check_fields(const TypeDescription& source,
                                       const TypeDescription& target, Ctx& ctx,
                                       ConformancePlan& plan,
                                       std::vector<std::string>& failures) {
+  if (target.fields().empty()) return true;
+  const MemberNameIndex::Lease names(options_, source.fields());
+  std::vector<const FieldDescription*> candidates;
   for (const auto& tgt_field : target.fields()) {
-    std::vector<const FieldDescription*> candidates;
-    for (const auto& src_field : source.fields()) {
-      if (!member_name_conforms(src_field.name, tgt_field.name)) continue;
+    candidates.clear();
+    for (const std::uint32_t i : names->candidates(tgt_field.name)) {
+      const FieldDescription& src_field = source.fields()[i];
       if (src_field.is_static != tgt_field.is_static) continue;
       if (!ref_conforms(src_field.type_name, source.namespace_name(), tgt_field.type_name,
                         target.namespace_name(), ctx)) {
@@ -509,16 +494,18 @@ bool ConformanceChecker::check_methods(const TypeDescription& source,
                                        const TypeDescription& target, Ctx& ctx,
                                        ConformancePlan& plan,
                                        std::vector<std::string>& failures) {
+  if (target.methods().empty()) return true;
+  const MemberNameIndex::Lease names(options_, source.methods());
+  struct Candidate {
+    const MethodDescription* method;
+    std::vector<std::size_t> permutation;
+  };
+  std::vector<Candidate> candidates;
   for (const auto& tgt_method : target.methods()) {
-    struct Candidate {
-      const MethodDescription* method;
-      std::vector<std::size_t> permutation;
-    };
-    std::vector<Candidate> candidates;
-
-    for (const auto& src_method : source.methods()) {
+    candidates.clear();
+    for (const std::uint32_t i : names->candidates(tgt_method.name)) {
+      const MethodDescription& src_method = source.methods()[i];
       if (src_method.arity() != tgt_method.arity()) continue;
-      if (!member_name_conforms(src_method.name, tgt_method.name)) continue;
       if (options_.require_same_modifiers &&
           (src_method.visibility != tgt_method.visibility ||
            src_method.is_static != tgt_method.is_static)) {

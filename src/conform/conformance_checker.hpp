@@ -13,7 +13,10 @@
 // permutations (Fig. 2's Perm) searched via bipartite matching. Recursive
 // type references are handled coinductively: a pair already under test is
 // assumed conformant, the standard algorithm for structural subtyping of
-// recursive types.
+// recursive types. Member names are matched by an index join over the
+// source's members (MemberNameIndex), so an uncached check grows linearly
+// with the member count while names share few tokens (see there for the
+// bound).
 //
 // The checker works purely on TypeDescriptions obtained through a
 // TypeResolver — never on implementations — which is what allows a peer to
@@ -115,8 +118,6 @@ class ConformanceChecker {
                     std::string_view target_type, std::string_view target_ns, Ctx& ctx);
 
   bool name_conforms(std::string_view source_name, std::string_view target_name) const;
-  bool member_name_conforms(std::string_view source_name,
-                            std::string_view target_name) const;
   bool explicitly_conforms(const reflect::TypeDescription& source,
                            const reflect::TypeDescription& target, Ctx& ctx);
 

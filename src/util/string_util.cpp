@@ -85,54 +85,36 @@ bool icontains(std::string_view haystack, std::string_view needle) noexcept {
   return false;
 }
 
-std::vector<std::string> identifier_tokens(std::string_view identifier) {
-  std::vector<std::string> tokens;
-  std::string current;
-  const auto flush = [&] {
-    if (!current.empty()) {
-      tokens.push_back(current);
-      current.clear();
-    }
-  };
-  const auto is_upper = [](char c) { return c >= 'A' && c <= 'Z'; };
-  const auto is_digit = [](char c) { return c >= '0' && c <= '9'; };
-  for (std::size_t i = 0; i < identifier.size(); ++i) {
-    const char c = identifier[i];
-    if (c == '_' || c == '-' || c == ' ') {
-      flush();
-      continue;
-    }
+namespace {
+
+bool is_token_separator(char c) noexcept { return c == '_' || c == '-' || c == ' '; }
+bool is_upper(char c) noexcept { return c >= 'A' && c <= 'Z'; }
+bool is_digit(char c) noexcept { return c >= '0' && c <= '9'; }
+
+}  // namespace
+
+bool IdentifierTokens::starts_token(std::size_t i) const noexcept {
+  // s_[i - 1] belongs to the token being scanned.
+  const char c = s_[i];
+  const char prev = s_[i - 1];
+  if (is_upper(c)) {
     // New hump: an upper-case letter starts a token, except inside an
-    // acronym run ("XMLParser" -> "xml", "parser").
-    if (is_upper(c)) {
-      const bool prev_lower = i > 0 && !is_upper(identifier[i - 1]) &&
-                              !is_digit(identifier[i - 1]) && identifier[i - 1] != '_';
-      const bool next_lower = i + 1 < identifier.size() && !is_upper(identifier[i + 1]) &&
-                              !is_digit(identifier[i + 1]) && identifier[i + 1] != '_';
-      if (prev_lower || (next_lower && !current.empty())) flush();
-    } else if (is_digit(c)) {
-      if (!current.empty() && !is_digit(current.back())) flush();
-    } else if (!current.empty() && is_digit(current.back())) {
-      flush();
-    }
-    current.push_back(to_lower(c));
+    // acronym run ("XMLParser" -> "XML", "Parser").
+    const bool prev_lower = !is_upper(prev) && !is_digit(prev);
+    const bool next_lower = i + 1 < s_.size() && !is_upper(s_[i + 1]) &&
+                            !is_digit(s_[i + 1]) && s_[i + 1] != '_';
+    return prev_lower || next_lower;
   }
-  flush();
-  return tokens;
+  if (is_digit(c)) return !is_digit(prev);
+  return is_digit(prev);
 }
 
-bool token_subset_match(std::string_view a, std::string_view b) {
-  const std::vector<std::string> ta = identifier_tokens(a);
-  const std::vector<std::string> tb = identifier_tokens(b);
-  const auto subset = [](const std::vector<std::string>& small,
-                         const std::vector<std::string>& big) {
-    for (const auto& t : small) {
-      if (std::find(big.begin(), big.end(), t) == big.end()) return false;
-    }
-    return true;
-  };
-  if (ta.empty() || tb.empty()) return ta.empty() && tb.empty();
-  return subset(ta, tb) || subset(tb, ta);
+std::string_view IdentifierTokens::next() noexcept {
+  while (pos_ < s_.size() && is_token_separator(s_[pos_])) ++pos_;
+  const std::size_t begin = pos_;
+  if (pos_ < s_.size()) ++pos_;
+  while (pos_ < s_.size() && !is_token_separator(s_[pos_]) && !starts_token(pos_)) ++pos_;
+  return s_.substr(begin, pos_ - begin);
 }
 
 bool wildcard_match(std::string_view pattern, std::string_view text) noexcept {

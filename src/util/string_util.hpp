@@ -52,18 +52,30 @@ struct ICaseLess {
 /// Case-insensitive substring test.
 [[nodiscard]] bool icontains(std::string_view haystack, std::string_view needle) noexcept;
 
-/// Splits an identifier into lower-cased word tokens on camelCase humps,
-/// underscores, dashes and digit boundaries:
-///   "getPersonName" -> {"get", "person", "name"}
-///   "set_name"      -> {"set", "name"}
-/// Used by the member-name conformance rule (a target member name conforms
-/// to a source member name when one token set includes the other — the
-/// reconstruction of the paper's lenient method-name matching that makes
-/// `getName` interoperate with `getPersonName`).
-[[nodiscard]] std::vector<std::string> identifier_tokens(std::string_view identifier);
+/// Splits an identifier into word tokens on camelCase humps, underscores,
+/// dashes, spaces and digit boundaries, yielding each token as a view of
+/// the identifier (original case; the member-name rule compares tokens
+/// case-insensitively):
+///   "getPersonName" -> "get", "Person", "Name"
+///   "set_name"      -> "set", "name"
+///   "XMLParser"     -> "XML", "Parser"
+/// A target member name conforms to a source member name when one's token
+/// set includes the other's — the reconstruction of the paper's lenient
+/// method-name matching that makes `getName` interoperate with
+/// `getPersonName`. Allocation-free.
+class IdentifierTokens {
+ public:
+  explicit IdentifierTokens(std::string_view identifier) noexcept : s_(identifier) {}
 
-/// True when every token of `a` appears among the tokens of `b` or vice
-/// versa (set inclusion either way).
-[[nodiscard]] bool token_subset_match(std::string_view a, std::string_view b);
+  /// The next token, or an empty view once exhausted (tokens are never
+  /// empty).
+  [[nodiscard]] std::string_view next() noexcept;
+
+ private:
+  [[nodiscard]] bool starts_token(std::size_t i) const noexcept;
+
+  std::string_view s_;
+  std::size_t pos_ = 0;
+};
 
 }  // namespace pti::util

@@ -3,13 +3,24 @@
 // matchers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <iostream>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "conform/baselines.hpp"
 #include "conform/conformance_cache.hpp"
 #include "conform/conformance_checker.hpp"
 #include "fixtures/sample_types.hpp"
 #include "reflect/domain.hpp"
 #include "reflect/introspect.hpp"
+#include "reflect/primitives.hpp"
 #include "reflect/type_builder.hpp"
+#include "util/levenshtein.hpp"
+#include "util/rng.hpp"
+#include "util/string_util.hpp"
 
 namespace pti::conform {
 namespace {
@@ -491,6 +502,405 @@ TEST_F(ConformTest, ImplicitMatcherSubsumesTheOthersOnPositives) {
       }
     }
   }
+}
+
+// --- member-name matching ------------------------------------------------------
+
+// The paper's motivating example, both directions, plus separator and
+// negative cases, as the checker's default TokenSubset member rule sees them.
+TEST(MemberNameRule, TokenSubsetMatchesEitherInclusion) {
+  const auto conforms = [](std::string_view source_member, std::string_view target_member) {
+    Domain d;
+    TypeDescription source("s", "T", TypeKind::Class);
+    source.add_field({std::string(source_member), "int32"});
+    TypeDescription target("t", "T", TypeKind::Class);
+    target.add_field({std::string(target_member), "int32"});
+    return ConformanceChecker(d.registry()).conforms(source, target);
+  };
+  EXPECT_TRUE(conforms("getName", "getPersonName"));
+  EXPECT_TRUE(conforms("getPersonName", "getName"));
+  EXPECT_TRUE(conforms("setName", "set_name"));
+  EXPECT_FALSE(conforms("getName", "getBalance"));
+  EXPECT_FALSE(conforms("deposit", "withdraw"));
+  EXPECT_TRUE(conforms("_", "--"));  // token-less names match each other only
+  EXPECT_FALSE(conforms("_", "name"));
+  EXPECT_FALSE(conforms("name", "_"));
+}
+
+// The member matching the checker did before it became an index join: every
+// (target, source) pair compared by name, both names tokenized per pair.
+// Kept verbatim as the reference the index join must reproduce.
+namespace reference {
+
+std::vector<std::string> identifier_tokens(std::string_view identifier) {
+  std::vector<std::string> tokens;
+  std::string current;
+  const auto flush = [&] {
+    if (!current.empty()) {
+      tokens.push_back(current);
+      current.clear();
+    }
+  };
+  const auto is_upper = [](char c) { return c >= 'A' && c <= 'Z'; };
+  const auto is_digit = [](char c) { return c >= '0' && c <= '9'; };
+  for (std::size_t i = 0; i < identifier.size(); ++i) {
+    const char c = identifier[i];
+    if (c == '_' || c == '-' || c == ' ') {
+      flush();
+      continue;
+    }
+    if (is_upper(c)) {
+      const bool prev_lower = i > 0 && !is_upper(identifier[i - 1]) &&
+                              !is_digit(identifier[i - 1]) && identifier[i - 1] != '_';
+      const bool next_lower = i + 1 < identifier.size() && !is_upper(identifier[i + 1]) &&
+                              !is_digit(identifier[i + 1]) && identifier[i + 1] != '_';
+      if (prev_lower || (next_lower && !current.empty())) flush();
+    } else if (is_digit(c)) {
+      if (!current.empty() && !is_digit(current.back())) flush();
+    } else if (!current.empty() && is_digit(current.back())) {
+      flush();
+    }
+    current.push_back(util::to_lower(c));
+  }
+  flush();
+  return tokens;
+}
+
+bool token_subset_match(std::string_view a, std::string_view b) {
+  const std::vector<std::string> ta = identifier_tokens(a);
+  const std::vector<std::string> tb = identifier_tokens(b);
+  const auto subset = [](const std::vector<std::string>& small,
+                         const std::vector<std::string>& big) {
+    for (const auto& t : small) {
+      if (std::find(big.begin(), big.end(), t) == big.end()) return false;
+    }
+    return true;
+  };
+  if (ta.empty() || tb.empty()) return ta.empty() && tb.empty();
+  return subset(ta, tb) || subset(tb, ta);
+}
+
+bool member_name_conforms(const ConformanceOptions& options, std::string_view source_name,
+                          std::string_view target_name) {
+  if (options.allow_wildcards && target_name.find_first_of("*?") != std::string_view::npos) {
+    return util::wildcard_match(target_name, source_name);
+  }
+  switch (options.member_name_rule) {
+    case MemberNameRule::Exact:
+      return util::levenshtein_within(source_name, target_name, options.max_name_distance,
+                                      true);
+    case MemberNameRule::Contains:
+      return util::icontains(source_name, target_name) ||
+             util::icontains(target_name, source_name);
+    case MemberNameRule::TokenSubset:
+      return token_subset_match(source_name, target_name);
+  }
+  return false;
+}
+
+/// The generated members reference primitives only, which conform exactly
+/// when they are the same primitive (numeric widening stays off).
+bool primitive_conforms(std::string_view source_type, std::string_view target_type) {
+  return reflect::canonical_primitive(source_type) ==
+         reflect::canonical_primitive(target_type);
+}
+
+std::optional<std::vector<std::size_t>> argument_permutation(
+    const std::vector<reflect::ParamDescription>& source_params,
+    const std::vector<reflect::ParamDescription>& target_params) {
+  const std::size_t n = source_params.size();
+  std::vector<std::vector<bool>> compat(n, std::vector<bool>(n, false));
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      compat[i][j] =
+          primitive_conforms(target_params[j].type_name, source_params[i].type_name);
+    }
+  }
+  bool identity_ok = true;
+  for (std::size_t i = 0; i < n; ++i) identity_ok = identity_ok && compat[i][i];
+  if (identity_ok) {
+    std::vector<std::size_t> id(n);
+    for (std::size_t i = 0; i < n; ++i) id[i] = i;
+    return id;
+  }
+  std::vector<std::size_t> target_owner(n, static_cast<std::size_t>(-1));
+  const auto try_augment = [&](std::size_t i, auto&& self, std::vector<bool>& seen) -> bool {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (!compat[i][j] || seen[j]) continue;
+      seen[j] = true;
+      if (target_owner[j] == static_cast<std::size_t>(-1) ||
+          self(target_owner[j], self, seen)) {
+        target_owner[j] = i;
+        return true;
+      }
+    }
+    return false;
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<bool> seen(n, false);
+    if (!try_augment(i, try_augment, seen)) return std::nullopt;
+  }
+  std::vector<std::size_t> perm(n, 0);
+  for (std::size_t j = 0; j < n; ++j) perm[target_owner[j]] = j;
+  return perm;
+}
+
+struct Outcome {
+  bool conformant = false;
+  std::vector<std::string> failures;
+  std::vector<FieldMapping> fields;
+  std::vector<MethodMapping> methods;
+  /// Most source candidates any target member had.
+  std::size_t max_candidates = 0;
+};
+
+/// The field and method aspects of rule (vi) over a same-named,
+/// supertype-free, constructor-free pair.
+Outcome check_members(const TypeDescription& source, const TypeDescription& target,
+                      const ConformanceOptions& options) {
+  Outcome out;
+  for (const auto& tgt_field : target.fields()) {
+    std::vector<const reflect::FieldDescription*> candidates;
+    for (const auto& src_field : source.fields()) {
+      if (!member_name_conforms(options, src_field.name, tgt_field.name)) continue;
+      if (src_field.is_static != tgt_field.is_static) continue;
+      if (!primitive_conforms(src_field.type_name, tgt_field.type_name)) continue;
+      candidates.push_back(&src_field);
+    }
+    out.max_candidates = std::max(out.max_candidates, candidates.size());
+    if (candidates.empty()) {
+      out.failures.push_back("field aspect: no source field conforms to '" + tgt_field.name +
+                             ":" + tgt_field.type_name + "'");
+      return out;
+    }
+    if (candidates.size() > 1 && options.ambiguity == AmbiguityPolicy::Error) {
+      out.failures.push_back("field aspect: " + std::to_string(candidates.size()) +
+                             " source fields match '" + tgt_field.name + "'");
+      return out;
+    }
+    const reflect::FieldDescription* chosen = candidates.front();
+    if (options.ambiguity == AmbiguityPolicy::PreferExactName) {
+      for (const auto* c : candidates) {
+        if (util::iequals(c->name, tgt_field.name)) {
+          chosen = c;
+          break;
+        }
+      }
+    }
+    out.fields.push_back(
+        FieldMapping{tgt_field.name, chosen->name, tgt_field.type_name, chosen->type_name});
+  }
+  for (const auto& tgt_method : target.methods()) {
+    std::vector<std::pair<const reflect::MethodDescription*, std::vector<std::size_t>>>
+        candidates;
+    for (const auto& src_method : source.methods()) {
+      if (src_method.arity() != tgt_method.arity()) continue;
+      if (!member_name_conforms(options, src_method.name, tgt_method.name)) continue;
+      if (src_method.visibility != tgt_method.visibility ||
+          src_method.is_static != tgt_method.is_static) {
+        continue;
+      }
+      if (!primitive_conforms(src_method.return_type, tgt_method.return_type)) continue;
+      auto perm = argument_permutation(src_method.params, tgt_method.params);
+      if (!perm.has_value()) continue;
+      candidates.emplace_back(&src_method, std::move(*perm));
+    }
+    out.max_candidates = std::max(out.max_candidates, candidates.size());
+    if (candidates.empty()) {
+      out.failures.push_back("method aspect: no source method conforms to '" +
+                             tgt_method.signature_string() + "'");
+      return out;
+    }
+    if (candidates.size() > 1 && options.ambiguity == AmbiguityPolicy::Error) {
+      out.failures.push_back("method aspect: " + std::to_string(candidates.size()) +
+                             " source methods match '" + tgt_method.signature_string() +
+                             "'");
+      return out;
+    }
+    const auto* chosen = &candidates.front();
+    if (options.ambiguity == AmbiguityPolicy::PreferExactName) {
+      for (const auto& c : candidates) {
+        if (util::iequals(c.first->name, tgt_method.name)) {
+          chosen = &c;
+          break;
+        }
+      }
+    }
+    MethodMapping m;
+    m.target_name = tgt_method.name;
+    m.source_name = chosen->first->name;
+    m.arity = tgt_method.arity();
+    m.arg_permutation = chosen->second;
+    m.target_return_type = tgt_method.return_type;
+    m.source_return_type = chosen->first->return_type;
+    m.candidate_count = candidates.size();
+    out.methods.push_back(std::move(m));
+  }
+  out.conformant = true;
+  return out;
+}
+
+}  // namespace reference
+
+/// Seeded member sets over names that stress every rule: camelCase,
+/// acronyms, digit runs, `_`/`-` separators, token-less names, duplicate
+/// and overlapping names, wildcard patterns, near-miss spellings.
+class MemberSetGenerator {
+ public:
+  explicit MemberSetGenerator(std::uint64_t seed) : rng_(seed) {}
+
+  /// A type of up to `max_fields` fields and `max_methods` methods. With
+  /// `like`, about half of the members copy one of `like`'s (name, type
+  /// and modifiers) so that many checks conform, some ambiguously.
+  TypeDescription make(const std::string& ns, std::size_t max_fields, std::size_t max_methods,
+                       const TypeDescription* like = nullptr) {
+    TypeDescription t(ns, "Rec", TypeKind::Class);
+    const std::size_t fields = rng_.next_below(max_fields + 1);
+    for (std::size_t i = 0; i < fields; ++i) {
+      if (like != nullptr && !like->fields().empty() && rng_.next_bool(0.5)) {
+        t.add_field(like->fields()[rng_.next_below(like->fields().size())]);
+      } else {
+        t.add_field({name(), type(), reflect::Visibility::Private, rng_.next_bool(0.15)});
+      }
+    }
+    const std::size_t methods = rng_.next_below(max_methods + 1);
+    for (std::size_t i = 0; i < methods; ++i) {
+      if (like != nullptr && !like->methods().empty() && rng_.next_bool(0.5)) {
+        t.add_method(like->methods()[rng_.next_below(like->methods().size())]);
+        continue;
+      }
+      const std::size_t arity = rng_.next_bool(0.5) ? 0 : 1 + rng_.next_below(2);
+      std::vector<reflect::ParamDescription> params(arity);
+      for (std::size_t p = 0; p < params.size(); ++p) {
+        params[p] = {"p" + std::to_string(p), type()};
+      }
+      t.add_method({name(), type(), std::move(params),
+                    rng_.next_bool(0.85) ? reflect::Visibility::Public
+                                         : reflect::Visibility::Private,
+                    rng_.next_bool(0.15)});
+    }
+    return t;
+  }
+
+ private:
+  std::string name() {
+    static constexpr const char* kFixed[] = {
+        "name",     "personName", "getName",  "getPersonName", "get_name", "GetNAME",
+        "getname",  "Name",       "nam",      "namE",          "names",    "nameName",
+        "XMLParser", "xmlParser", "parseXML", "XML",           "f0",       "f1",
+        "f10",      "f01",        "getF0",    "getF10",        "URL2Fetch", "url_2_fetch",
+        "_",        "__",         "-",        "a-b",           "A_B",      "ab",
+        "id",       "ID",         "getId",    "setName",       "set_name", "getNickName",
+        "get*",     "*Name",      "?ame",     "f?",            "*",        "n*e",
+        "get",      "value",      "getValue", "val",           "vale",     "getValue2",
+        "getPersonNameXmlUrlIdValueF0Set12",   "setPersonName_xml_url_ID_value_f_0"};
+    static constexpr const char* kTokens[] = {"get", "set", "name", "person", "f",  "0",
+                                              "12",  "xml", "url",  "id",     "value"};
+    if (rng_.next_bool(0.6)) return kFixed[rng_.next_below(std::size(kFixed))];
+    // A random identifier from a small token vocabulary; some are long,
+    // with many distinct tokens.
+    std::string out;
+    const std::size_t tokens = 1 + rng_.next_below(rng_.next_bool(0.2) ? 14 : 4);
+    for (std::size_t i = 0; i < tokens; ++i) {
+      std::string token = kTokens[rng_.next_below(std::size(kTokens))];
+      const std::uint64_t style = rng_.next_below(4);
+      if (i > 0 && style == 0) out.push_back('_');
+      if (i > 0 && style == 1) out.push_back('-');
+      if (style == 2) {
+        for (char& c : token) c = static_cast<char>(std::toupper(c));
+      } else if (i > 0 || style == 3) {
+        token[0] = static_cast<char>(std::toupper(token[0]));
+      }
+      out += token;
+    }
+    return out;
+  }
+
+  std::string type() {
+    static constexpr std::string_view kTypes[] = {reflect::kInt32Type, reflect::kInt32Type,
+                                                  reflect::kStringType, reflect::kFloat64Type};
+    return std::string(kTypes[rng_.next_below(std::size(kTypes))]);
+  }
+
+  util::Rng rng_;
+};
+
+TEST(MemberMatchingDifferential, IndexJoinReproducesThePerPairLoop) {
+  constexpr std::uint64_t kSeeds = 400;
+  std::size_t conformant = 0;
+  std::size_t ambiguous = 0;
+  std::size_t compared = 0;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    MemberSetGenerator gen(seed);
+    Domain domain;
+    const TypeDescription& source =
+        domain.registry().add(gen.make("src" + std::to_string(seed), 14, 14));
+    const TypeDescription& target =
+        domain.registry().add(gen.make("tgt" + std::to_string(seed), 3, 3, &source));
+    for (const MemberNameRule rule :
+         {MemberNameRule::TokenSubset, MemberNameRule::Contains, MemberNameRule::Exact}) {
+      for (const AmbiguityPolicy ambiguity : {AmbiguityPolicy::First,
+                                              AmbiguityPolicy::PreferExactName,
+                                              AmbiguityPolicy::Error}) {
+        for (const bool wildcards : {false, true}) {
+          for (const std::uint32_t distance : {0U, 1U, 2U}) {
+            ConformanceOptions options;
+            options.member_name_rule = rule;
+            options.ambiguity = ambiguity;
+            options.allow_wildcards = wildcards;
+            options.max_name_distance = distance;
+            const std::string where = "seed " + std::to_string(seed) + " rule " +
+                                      std::to_string(static_cast<int>(rule)) + " ambiguity " +
+                                      std::to_string(static_cast<int>(ambiguity)) +
+                                      " wildcards " + std::to_string(wildcards) +
+                                      " distance " + std::to_string(distance);
+            const CheckResult got = ConformanceChecker(domain.registry(), options)
+                                        .check(source, target);
+            ++compared;
+            if (source.structurally_equal(target)) {
+              EXPECT_TRUE(got.conformant) << where;
+              EXPECT_EQ(got.plan.kind(), ConformanceKind::Equivalent) << where;
+              continue;
+            }
+            const reference::Outcome want = reference::check_members(source, target, options);
+            ASSERT_EQ(got.conformant, want.conformant) << where;
+            ASSERT_EQ(got.failures, want.failures) << where;
+            if (want.max_candidates > 1) ++ambiguous;
+            if (!want.conformant) continue;
+            ++conformant;
+            ASSERT_EQ(got.plan.kind(), ConformanceKind::ImplicitStructural) << where;
+            ASSERT_EQ(got.plan.fields().size(), want.fields.size()) << where;
+            for (std::size_t i = 0; i < want.fields.size(); ++i) {
+              const FieldMapping& g = got.plan.fields()[i];
+              const FieldMapping& w = want.fields[i];
+              EXPECT_EQ(g.target_field, w.target_field) << where;
+              EXPECT_EQ(g.source_field, w.source_field) << where;
+              EXPECT_EQ(g.target_type, w.target_type) << where;
+              EXPECT_EQ(g.source_type, w.source_type) << where;
+            }
+            ASSERT_EQ(got.plan.methods().size(), want.methods.size()) << where;
+            for (std::size_t i = 0; i < want.methods.size(); ++i) {
+              const MethodMapping& g = got.plan.methods()[i];
+              const MethodMapping& w = want.methods[i];
+              EXPECT_EQ(g.target_name, w.target_name) << where;
+              EXPECT_EQ(g.source_name, w.source_name) << where;
+              EXPECT_EQ(g.arity, w.arity) << where;
+              EXPECT_EQ(g.arg_permutation, w.arg_permutation) << where;
+              EXPECT_EQ(g.target_return_type, w.target_return_type) << where;
+              EXPECT_EQ(g.source_return_type, w.source_return_type) << where;
+              EXPECT_EQ(g.candidate_count, w.candidate_count) << where;
+            }
+          }
+        }
+      }
+    }
+  }
+  // The generator must reach the interesting cases, not only rejections.
+  EXPECT_EQ(compared, kSeeds * 54);
+  EXPECT_GT(conformant, compared / 20);
+  std::cout << "[          ] " << compared << " checks, " << conformant << " conformant, "
+            << ambiguous << " with an ambiguous member\n";
+  EXPECT_GT(ambiguous, compared / 40);
 }
 
 // --- reflexivity property over the whole fixture universe ---------------------

@@ -72,6 +72,16 @@ TEST(StringUtil, IContains) {
   EXPECT_FALSE(icontains("getname", "person"));
 }
 
+/// The folded tokens IdentifierTokens yields for `identifier`.
+std::vector<std::string> identifier_tokens(std::string_view identifier) {
+  std::vector<std::string> out;
+  IdentifierTokens tokens(identifier);
+  for (std::string_view t = tokens.next(); !t.empty(); t = tokens.next()) {
+    out.push_back(to_lower(t));
+  }
+  return out;
+}
+
 TEST(StringUtil, IdentifierTokens) {
   EXPECT_EQ(identifier_tokens("getPersonName"),
             (std::vector<std::string>{"get", "person", "name"}));
@@ -81,13 +91,19 @@ TEST(StringUtil, IdentifierTokens) {
   EXPECT_EQ(identifier_tokens(""), (std::vector<std::string>{}));
 }
 
-TEST(StringUtil, TokenSubsetMatch) {
-  // The paper's motivating example: both directions.
-  EXPECT_TRUE(token_subset_match("getName", "getPersonName"));
-  EXPECT_TRUE(token_subset_match("getPersonName", "getName"));
-  EXPECT_TRUE(token_subset_match("setName", "set_name"));
-  EXPECT_FALSE(token_subset_match("getName", "getBalance"));
-  EXPECT_FALSE(token_subset_match("deposit", "withdraw"));
+TEST(StringUtil, IdentifierTokensAreViewsOfTheIdentifier) {
+  const std::string_view id = "getURL2Fetch-now";
+  IdentifierTokens tokens(id);
+  std::vector<std::string_view> views;
+  for (std::string_view t = tokens.next(); !t.empty(); t = tokens.next()) views.push_back(t);
+  EXPECT_EQ(views, (std::vector<std::string_view>{"get", "URL", "2", "Fetch", "now"}));
+  for (std::string_view v : views) {
+    EXPECT_GE(v.data(), id.data());
+    EXPECT_LE(v.data() + v.size(), id.data() + id.size());
+  }
+  EXPECT_TRUE(tokens.next().empty());
+  EXPECT_EQ(identifier_tokens("_-_ "), (std::vector<std::string>{}));
+  EXPECT_EQ(identifier_tokens("AB-c"), (std::vector<std::string>{"a", "b", "c"}));
 }
 
 // --- levenshtein ----------------------------------------------------------

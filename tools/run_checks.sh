@@ -9,6 +9,7 @@
 #                                  # fuzz/socket) — the ones instrumentation
 #                                  # is for
 #   ASAN=1 tools/run_checks.sh     # also build + run the asan preset
+#   UBSAN=1 tools/run_checks.sh    # also build + run the ubsan preset
 #   SOAK=1 tools/run_checks.sh     # also run the adversarial soak gate
 #                                  # (tools/run_soak.sh — minutes, not
 #                                  # seconds; see SOAK_SECONDS there)
@@ -20,6 +21,8 @@
 #   10 debug configure/build   20 debug ctest
 #   30 tsan  configure/build   40 tsan  ctest
 #   50 asan  configure/build   60 asan  ctest    (ASAN=1 only)
+#   63 ubsan configure/build   66 ubsan ctest    (UBSAN=1 only; the preset
+#                                                  makes any finding fatal)
 #   70 clang-format gate       80 adversarial soak gate (SOAK=1 only)
 #   90 megasim scale smoke (10^4-peer deterministic scenario, Release,
 #      wall-clock ceiling SCALE_SMOKE_SECONDS, default 300)
@@ -74,6 +77,10 @@ stage 40 "ctest: tsan preset" ctest --preset tsan "${CTEST_JOBS[@]}" "${TSAN_FIL
 if [[ "${ASAN:-0}" == "1" ]]; then
   stage 50 "configure + build: asan preset" build_preset asan
   stage 60 "ctest: asan preset" ctest --preset asan "${CTEST_JOBS[@]}"
+fi
+if [[ "${UBSAN:-0}" == "1" ]]; then
+  stage 63 "configure + build: ubsan preset" build_preset ubsan
+  stage 66 "ctest: ubsan preset" ctest --preset ubsan "${CTEST_JOBS[@]}"
 fi
 stage 70 "clang-format gate" tools/check_format.sh
 if [[ "${SOAK:-0}" == "1" ]]; then
