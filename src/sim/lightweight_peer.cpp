@@ -1,5 +1,7 @@
 #include "sim/lightweight_peer.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <utility>
 #include <variant>
 
@@ -37,6 +39,8 @@ LightweightPeer::LightweightPeer(std::uint32_t index, transport::Transport& netw
       known_(universe.type_count(), false),
       loaded_(universe.type_count(), false),
       use_sessions_(use_sessions),
+      intro_sent_(universe.type_count()),
+      session_known_(universe.type_count()),
       intro_registry_(intro_registry) {}
 
 LightweightPeer::~LightweightPeer() {
@@ -95,30 +99,29 @@ SessionPush LightweightPeer::build_session_entry(const std::string& target,
   return push;
 }
 
-LightweightPeer::PushOutcome LightweightPeer::publish_session(const std::string& target,
+LightweightPeer::PushOutcome LightweightPeer::publish_session(const LightweightPeer& target,
                                                               std::uint32_t family) {
   // Publishing makes us the origin: we hold the description and code.
   known_[family] = true;
   loaded_[family] = true;
-  std::vector<bool>& sent = intro_sent_[target];
-  if (sent.empty()) sent.assign(universe_.type_count(), false);
+  const std::uint32_t sent = intro_sent_.row(target.index());
 
   for (int attempt = 0; attempt < 2; ++attempt) {
-    const bool fresh = !sent[family];
-    SessionPush push = build_session_entry(target, family, fresh);
+    const bool fresh = !intro_sent_.test(sent, family);
+    SessionPush push = build_session_entry(target.name(), family, fresh);
     ++counters_.pushes_sent;
     try {
-      const Message response = network_.send(Message{name_, target, std::move(push)});
+      const Message response = network_.send(Message{name_, target.name(), std::move(push)});
       if (const auto* ack = std::get_if<SessionAck>(&response.payload)) {
         if (intro_registry_ != nullptr) {
-          intro_registry_->record_all(target, ack->known_desc_hashes);
+          intro_registry_->record_all(target.name(), ack->known_desc_hashes);
         }
         if (ack->status == SessionStatus::Reset) {
           // The receiver lost the session: replay once with the intro.
-          sent.assign(universe_.type_count(), false);
+          intro_sent_.clear(sent);
           continue;
         }
-        if (fresh) sent[family] = true;  // commit-on-ack
+        if (fresh) intro_sent_.set(sent, family);  // commit-on-ack
         PushOutcome outcome{ack->delivered, false, kNoInterest};
         if (ack->delivered) outcome.matched = universe_.interest_by_type_name(ack->detail);
         return outcome;
@@ -131,12 +134,12 @@ LightweightPeer::PushOutcome LightweightPeer::publish_session(const std::string&
   return PushOutcome{false, true, kNoInterest};  // reset twice: give up on this push
 }
 
-std::vector<LightweightPeer::PushOutcome> LightweightPeer::publish_batch_to(
-    const std::string& target, const std::vector<std::uint32_t>& families) {
-  std::vector<PushOutcome> out(families.size(), PushOutcome{false, true, kNoInterest});
-  if (families.empty()) return out;
-  std::vector<bool>& sent = intro_sent_[target];
-  if (sent.empty()) sent.assign(universe_.type_count(), false);
+void LightweightPeer::publish_batch_to(const LightweightPeer& target,
+                                       const std::vector<std::uint32_t>& families,
+                                       std::vector<PushOutcome>& out) {
+  out.assign(families.size(), PushOutcome{false, true, kNoInterest});
+  if (families.empty()) return;
+  const std::uint32_t sent = intro_sent_.row(target.index());
 
   // Plans are built at flush time, exactly like transport::Peer's window:
   // the FIRST entry for a family carries the intro, later entries in the
@@ -144,47 +147,46 @@ std::vector<LightweightPeer::PushOutcome> LightweightPeer::publish_batch_to(
   SessionBatch batch;
   batch.entries.reserve(families.size());
   std::vector<bool> fresh(families.size(), false);
-  std::vector<bool> introduced_now(universe_.type_count(), false);
   for (std::size_t i = 0; i < families.size(); ++i) {
     const std::uint32_t family = families[i];
     known_[family] = true;
     loaded_[family] = true;
-    fresh[i] = !sent[family] && !introduced_now[family];
-    if (fresh[i]) introduced_now[family] = true;
-    batch.entries.push_back(build_session_entry(target, family, fresh[i]));
+    const auto earlier = families.begin() + static_cast<std::ptrdiff_t>(i);
+    fresh[i] = !intro_sent_.test(sent, family) &&
+               std::find(families.begin(), earlier, family) == earlier;
+    batch.entries.push_back(build_session_entry(target.name(), family, fresh[i]));
     ++counters_.pushes_sent;
   }
 
   try {
-    const Message response = network_.send(Message{name_, target, std::move(batch)});
+    const Message response = network_.send(Message{name_, target.name(), std::move(batch)});
     const auto* back = std::get_if<SessionBatchAck>(&response.payload);
     if (back == nullptr || back->entries.size() != families.size()) {
-      return out;  // in-band fault (ErrorReply) or malformed ack: all dropped
+      return;  // in-band fault (ErrorReply) or malformed ack: all dropped
     }
     for (std::size_t i = 0; i < families.size(); ++i) {
       const SessionAck& ack = back->entries[i];
       if (intro_registry_ != nullptr) {
-        intro_registry_->record_all(target, ack.known_desc_hashes);
+        intro_registry_->record_all(target.name(), ack.known_desc_hashes);
       }
       if (ack.status == SessionStatus::Reset) {
         // This slot lost the session: replay it individually with intros,
         // leaving every other slot's verdict untouched.
-        sent.assign(universe_.type_count(), false);
+        intro_sent_.clear(sent);
         --counters_.pushes_sent;  // publish_session recounts the replay
         out[i] = publish_session(target, families[i]);
         continue;
       }
-      if (fresh[i]) sent[families[i]] = true;  // commit-on-ack, per slot
+      if (fresh[i]) intro_sent_.set(sent, families[i]);  // commit-on-ack, per slot
       out[i] = PushOutcome{ack.delivered, false, kNoInterest};
       if (ack.delivered) out[i].matched = universe_.interest_by_type_name(ack.detail);
     }
-    return out;
   } catch (const pti::Error&) {
-    return out;  // the whole frame dropped: every entry is a drop
+    // The whole frame dropped: every entry stays a drop.
   }
 }
 
-LightweightPeer::PushOutcome LightweightPeer::publish_to(const std::string& target,
+LightweightPeer::PushOutcome LightweightPeer::publish_to(const LightweightPeer& target,
                                                          std::uint32_t family) {
   if (use_sessions_) return publish_session(target, family);
   ObjectPush push;
@@ -199,7 +201,7 @@ LightweightPeer::PushOutcome LightweightPeer::publish_to(const std::string& targ
   loaded_[family] = true;
   ++counters_.pushes_sent;
   try {
-    const Message response = network_.send(Message{name_, target, std::move(push)});
+    const Message response = network_.send(Message{name_, target.name(), std::move(push)});
     if (const auto* ack = std::get_if<PushAck>(&response.payload)) {
       return PushOutcome{ack->delivered, false};
     }
@@ -281,15 +283,22 @@ SessionAck LightweightPeer::process_session_push(const std::string& sender,
   ++counters_.pushes_received;
   last_matched_ = kNoInterest;
 
-  std::vector<bool>& wire_known = session_known_[sender];
-  if (wire_known.empty()) wire_known.assign(universe_.type_count(), false);
+  // The session is named by the push's token, the sender's index + 1; a
+  // token whose index does not fit a peer index names no session, so its
+  // wire ids are unknown and the push is answered with a Reset.
+  const bool named = push.token != 0 && push.token - 1 <= UINT32_MAX;
+  const auto session = static_cast<std::uint32_t>(push.token - 1);
+  std::uint32_t row = named ? session_known_.find(session) : PairFamilyBits::kNoRow;
   // Descriptions that actually crossed the wire in this push get their
   // hashes advertised back, so ANY sender can skip those bytes next time.
   std::vector<std::uint64_t> advertised;
   for (const SessionIntro& intro : push.intros) {
     const std::uint32_t f = universe_.type_by_name(intro.type_name);
     if (f != TypeUniverse::kNoType && intro.wire_id == f + 1) {
-      wire_known[f] = true;
+      if (named) {
+        if (row == PairFamilyBits::kNoRow) row = session_known_.row(session);
+        session_known_.set(row, f);
+      }
       known_[f] = true;
       if (!intro.description_xml.empty()) {
         advertised.push_back(universe_.description_hash(f));
@@ -310,7 +319,8 @@ SessionAck LightweightPeer::process_session_push(const std::string& sender,
     return SessionAck{SessionStatus::Ok, false, "no object types", std::move(advertised)};
   }
   const std::uint32_t wire = push.wire_types.front();
-  if (wire == 0 || wire > universe_.type_count() || !wire_known[wire - 1]) {
+  if (wire == 0 || wire > universe_.type_count() || row == PairFamilyBits::kNoRow ||
+      !session_known_.test(row, wire - 1)) {
     // A Reset ack carries the full known-description set: the sender's
     // replay can skip every description this receiver already holds.
     advertised.clear();

@@ -4,6 +4,8 @@
 // proxy factory and per-peer caches (~tens of KB plus per-message XML
 // work), a LightweightPeer carries two bitsets and a counter block
 // (~hundreds of bytes), which is what makes 10^5-10^6 of them tractable.
+// Session state per peer pair is keyed by the other peer's index (a table
+// slot plus one word per 64 families), never by its name string.
 // What it does NOT lighten is the protocol: it attaches to the same
 // Transport seam, exchanges the same ObjectPush/TypeInfoRequest/
 // CodeRequest messages with real envelope bytes and real description XML
@@ -23,9 +25,9 @@
 // Thread safety: none; drive from the owning scenario's event loop.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/type_universe.hpp"
@@ -33,6 +35,7 @@
 #include "transport/intro_registry.hpp"
 #include "transport/peer.hpp"
 #include "transport/transport.hpp"
+#include "util/dense_id_map.hpp"
 
 namespace pti::sim {
 
@@ -47,6 +50,43 @@ struct PeerCounters {
   std::uint64_t code_requests = 0;
   std::uint64_t code_served = 0;
   std::uint64_t code_bytes_fetched = 0;
+};
+
+/// Family bits per peer pair, keyed by the other peer's index: one 64-bit
+/// word per 64 families per pair, every pair's words in one vector, so a
+/// pair costs a table slot plus its words and no heap block of its own.
+/// Rows are numbers, not pointers, and stay valid as rows are added.
+class PairFamilyBits {
+ public:
+  static constexpr std::uint32_t kNoRow = util::DenseIdMap<std::uint32_t>::kNone;
+
+  explicit PairFamilyBits(std::size_t families) : stride_((families + 63) / 64) {}
+
+  /// Row of `peer`, added all-zero on first use.
+  std::uint32_t row(std::uint32_t peer) {
+    const std::uint32_t r = rows_.intern(peer);
+    if ((r + 1) * stride_ > words_.size()) words_.resize((r + 1) * stride_);
+    return r;
+  }
+  /// Row of `peer`, or kNoRow when it has none.
+  [[nodiscard]] std::uint32_t find(std::uint32_t peer) const noexcept {
+    return rows_.find(peer);
+  }
+
+  [[nodiscard]] bool test(std::uint32_t row, std::uint32_t family) const noexcept {
+    return (words_[row * stride_ + family / 64] >> (family % 64) & 1) != 0;
+  }
+  void set(std::uint32_t row, std::uint32_t family) noexcept {
+    words_[row * stride_ + family / 64] |= std::uint64_t{1} << (family % 64);
+  }
+  void clear(std::uint32_t row) noexcept {
+    std::fill_n(words_.begin() + static_cast<std::ptrdiff_t>(row * stride_), stride_, 0);
+  }
+
+ private:
+  std::size_t stride_;  ///< words per row
+  util::DenseIdMap<std::uint32_t> rows_;
+  std::vector<std::uint64_t> words_;
 };
 
 class LightweightPeer {
@@ -90,14 +130,15 @@ class LightweightPeer {
     std::uint32_t matched = kNoInterest;
   };
   /// Publishes family `family` to `target` (one full protocol exchange).
-  PushOutcome publish_to(const std::string& target, std::uint32_t family);
+  PushOutcome publish_to(const LightweightPeer& target, std::uint32_t family);
   /// Publishes several families to `target` as ONE SessionBatch frame
   /// (session mode only). Entries are processed by the receiver in order
   /// and acked positionally; a Reset slot is replayed individually, so a
-  /// refused entry never desynchronises the rest. Per-entry outcomes come
-  /// back in input order.
-  std::vector<PushOutcome> publish_batch_to(const std::string& target,
-                                            const std::vector<std::uint32_t>& families);
+  /// refused entry never desynchronises the rest. Per-entry outcomes land
+  /// in `out` (resized to match) in input order.
+  void publish_batch_to(const LightweightPeer& target,
+                        const std::vector<std::uint32_t>& families,
+                        std::vector<PushOutcome>& out);
 
   /// Interest family matched by the most recent accepted push delivered
   /// TO this peer (kNoInterest when the last push was rejected). Valid
@@ -126,7 +167,7 @@ class LightweightPeer {
   [[nodiscard]] transport::SessionPush build_session_entry(const std::string& target,
                                                            std::uint32_t family,
                                                            bool fresh);
-  PushOutcome publish_session(const std::string& target, std::uint32_t family);
+  PushOutcome publish_session(const LightweightPeer& target, std::uint32_t family);
 
   std::uint32_t index_;
   std::string name_;
@@ -149,11 +190,13 @@ class LightweightPeer {
   /// Session mode: pushes travel as SessionPush frames (wire id = family
   /// index + 1, token = peer index + 1 — both scenario-local, digest-safe).
   /// Sender side tracks which families each target acknowledged an intro
-  /// for (commit-on-ack); receiver side mirrors which wire ids each sender
-  /// introduced. Both survive leave/rejoin, exactly like known_/loaded_.
+  /// for (commit-on-ack), keyed by the target's index; receiver side
+  /// mirrors which wire ids each sender introduced, keyed by the push's
+  /// token − 1 (a token outside that range names no session: Reset). Both
+  /// survive leave/rejoin, exactly like known_/loaded_.
   bool use_sessions_ = false;
-  std::unordered_map<std::string, std::vector<bool>> intro_sent_;
-  std::unordered_map<std::string, std::vector<bool>> session_known_;
+  PairFamilyBits intro_sent_;
+  PairFamilyBits session_known_;
   /// Scenario-shared intro registry (owned by the hub): receivers advertise
   /// description hashes in their acks; senders consult it to elide intro
   /// description bytes a target already holds. Byte-saving hint only —

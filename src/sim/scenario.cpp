@@ -223,9 +223,11 @@ void Scenario::fire_publish() {
     for (const transport::SubscriberId sub : target_scratch_) {
       const std::uint32_t target = sub_to_peer_[sub];
       ++stats_.deliveries;
-      pending_deliveries_.push_back({publisher, target, family});
-      const std::uint64_t key = (std::uint64_t{publisher} << 32) | target;
-      if (++pending_pair_counts_[key] >= config_.session_batch) full = true;
+      const std::uint32_t group =
+          pending_groups_.intern((std::uint64_t{publisher} << 32) | target);
+      if (group == group_sizes_.size()) group_sizes_.push_back(0);
+      pending_deliveries_.push_back({publisher, target, family, group});
+      if (++group_sizes_[group] >= config_.session_batch) full = true;
     }
     if (full) flush_session_batches();
     return;
@@ -235,7 +237,7 @@ void Scenario::fire_publish() {
     const std::uint32_t target = sub_to_peer_[sub];
     ++stats_.deliveries;
     const LightweightPeer::PushOutcome outcome =
-        peers_[publisher]->publish_to(peers_[target]->name(), family);
+        peers_[publisher]->publish_to(*peers_[target], family);
     mix_delivery(target, family, outcome,
                  outcome.delivered ? peers_[target]->last_matched_interest()
                                    : LightweightPeer::kNoInterest);
@@ -268,45 +270,48 @@ void Scenario::mix_delivery(std::uint32_t target, std::uint32_t family,
 
 void Scenario::flush_session_batches() {
   if (pending_deliveries_.empty()) return;
-  // Group by (publisher, target) in first-touch order. The frames go out
-  // group by group, but the digests fold in ORIGINAL delivery order below
-  // — batching regroups the wire, never the verdict stream.
-  std::vector<std::uint64_t> order;
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> groups;
+  // Counting-sort the deliveries by group: group_sizes_ becomes each
+  // group's start offset, then (advanced while placing) its end offset.
+  // Group ids are first-touch order and placement keeps delivery order, so
+  // the frames go out group by group exactly as parked, while the digests
+  // fold in ORIGINAL delivery order below — batching regroups the wire,
+  // never the verdict stream.
+  std::uint32_t offset = 0;
+  for (std::uint32_t& size : group_sizes_) offset += std::exchange(size, offset);
+  flush_order_.resize(pending_deliveries_.size());
   for (std::size_t i = 0; i < pending_deliveries_.size(); ++i) {
-    const PendingDelivery& d = pending_deliveries_[i];
-    const std::uint64_t key = (std::uint64_t{d.publisher} << 32) | d.target;
-    const auto [it, inserted] = groups.try_emplace(key);
-    if (inserted) order.push_back(key);
-    it->second.push_back(i);
+    flush_order_[group_sizes_[pending_deliveries_[i].group]++] = static_cast<std::uint32_t>(i);
   }
 
-  std::vector<LightweightPeer::PushOutcome> outcomes(pending_deliveries_.size());
-  std::vector<std::uint32_t> families;
-  for (const std::uint64_t key : order) {
-    const std::vector<std::size_t>& slots = groups[key];
-    for (std::size_t base = 0; base < slots.size(); base += config_.session_batch) {
-      const std::size_t count = std::min(config_.session_batch, slots.size() - base);
-      families.clear();
+  flush_outcomes_.resize(pending_deliveries_.size());
+  std::size_t begin = 0;
+  for (const std::uint32_t end : group_sizes_) {
+    for (; begin < end; begin += config_.session_batch) {
+      const std::size_t count = std::min<std::size_t>(config_.session_batch, end - begin);
+      frame_families_.clear();
       for (std::size_t k = 0; k < count; ++k) {
-        families.push_back(pending_deliveries_[slots[base + k]].family);
+        frame_families_.push_back(pending_deliveries_[flush_order_[begin + k]].family);
       }
-      const PendingDelivery& head = pending_deliveries_[slots[base]];
-      const std::vector<LightweightPeer::PushOutcome> out =
-          peers_[head.publisher]->publish_batch_to(peers_[head.target]->name(), families);
-      for (std::size_t k = 0; k < count; ++k) outcomes[slots[base + k]] = out[k];
+      const PendingDelivery& head = pending_deliveries_[flush_order_[begin]];
+      peers_[head.publisher]->publish_batch_to(*peers_[head.target], frame_families_,
+                                               frame_outcomes_);
+      for (std::size_t k = 0; k < count; ++k) {
+        flush_outcomes_[flush_order_[begin + k]] = frame_outcomes_[k];
+      }
       ++stats_.session_batch_frames;
       stats_.session_batch_entries += count;
     }
+    begin = end;
   }
 
   for (std::size_t i = 0; i < pending_deliveries_.size(); ++i) {
     const PendingDelivery& d = pending_deliveries_[i];
-    mix_delivery(d.target, d.family, outcomes[i], outcomes[i].matched);
+    mix_delivery(d.target, d.family, flush_outcomes_[i], flush_outcomes_[i].matched);
     maybe_reclaim();
   }
   pending_deliveries_.clear();
-  pending_pair_counts_.clear();
+  pending_groups_.clear();
+  group_sizes_.clear();
 }
 
 void Scenario::fire_churn_leave() {
@@ -361,12 +366,13 @@ void Scenario::match_targets(std::uint32_t family, transport::SubscriberId publi
   if (config_.use_inverted_index) {
     // Route through the shared engine: one scan over DISTINCT interests,
     // then a posting-list walk per match.
+    const std::size_t cap = config_.fanout_cap;
     hub_.interests().collect_matches(
         [&](const transport::InterestEntry& entry) {
           const std::uint32_t interest = universe_->interest_of_id(entry.interest);
           return interest != TypeUniverse::kNoType && universe_->group_of(interest) == group;
         },
-        out, interest_scratch_);
+        out, match_scratch_, cap == SIZE_MAX ? cap : cap + 1);
   } else {
     // Baseline (pre-index shape): visit EVERY live peer's own interest
     // list — O(population) per publish regardless of how few types match.

@@ -12,11 +12,15 @@
 // group — the topic-routing approximation); each receiver then runs the
 // exact conformance gate, so accepts AND rejects both occur and the
 // optimistic protocol has something to save. Target discovery goes
-// through InterestIndex::collect_matches by default; with
+// through InterestIndex::collect_matches by default (a bitmap selection
+// of the fanout_cap + 1 smallest subscriber ids, no sort); with
 // `use_inverted_index = false` it walks every live peer's own interest
 // list instead — the pre-PR-8 shape, kept as the benchmark baseline and
 // as a correctness pin: both paths must produce identical target sets,
 // so the whole scenario digest must be identical under either flag.
+// Deliveries name their target by peer index (LightweightPeer keys its
+// session state by it) and, in batched mode, park with a (publisher,
+// target) group id so a flush regroups them with a counting sort.
 //
 // Determinism. Same seed => byte-identical ScenarioResult digests,
 // regardless of host machine, thread count, or how many other scenarios
@@ -31,7 +35,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/event_loop.hpp"
@@ -39,6 +42,7 @@
 #include "sim/type_universe.hpp"
 #include "transport/assembly_hub.hpp"
 #include "transport/sim_network.hpp"
+#include "util/dense_id_map.hpp"
 #include "util/hash.hpp"
 
 namespace pti::sim {
@@ -159,6 +163,9 @@ class Scenario {
   /// Sorted, deduplicated, publisher-excluded, capped target subscriber
   /// set for a publish of `family` — via the inverted index or the
   /// per-peer-list baseline, per config (identical results by contract).
+  /// The index path asks collect_matches for only the fanout_cap + 1
+  /// smallest ids: one more than the cap, in case the publisher is among
+  /// them.
   void match_targets(std::uint32_t family, transport::SubscriberId publisher,
                      std::vector<transport::SubscriberId>& out);
 
@@ -175,6 +182,8 @@ class Scenario {
   /// Sends every deferred delivery as SessionBatch frames (grouped by
   /// (publisher, target) pair in first-touch order, chunks of at most
   /// session_batch entries) and mixes outcomes in original delivery order.
+  /// The groups are numbered when deliveries are parked and counting-sorted
+  /// here into reused vectors, so a flush allocates nothing once warm.
   void flush_session_batches();
 
   void mix_trace(std::uint64_t a, std::uint64_t b = 0, std::uint64_t c = 0,
@@ -194,17 +203,27 @@ class Scenario {
   std::vector<double> zipf_cdf_;
 
   std::vector<transport::SubscriberId> target_scratch_;
-  std::vector<util::InternedName> interest_scratch_;
+  transport::InterestIndex::MatchScratch match_scratch_;
 
   /// Deferred-delivery window for batched session mode.
   struct PendingDelivery {
     std::uint32_t publisher;
     std::uint32_t target;
     std::uint32_t family;
+    std::uint32_t group;  ///< its (publisher, target) pair's id in pending_groups_
   };
   bool defer_deliveries_ = false;  ///< use_sessions && session_batch > 1
   std::vector<PendingDelivery> pending_deliveries_;
-  std::unordered_map<std::uint64_t, std::size_t> pending_pair_counts_;
+  /// (publisher << 32 | target) -> group id, numbered in first-touch order.
+  util::DenseIdMap<std::uint64_t> pending_groups_;
+  /// Deliveries parked per group; the counting sort's offsets at flush.
+  std::vector<std::uint32_t> group_sizes_;
+  /// Flush scratch: delivery indexes grouped, one frame's families and
+  /// outcomes, and every delivery's outcome by index.
+  std::vector<std::uint32_t> flush_order_;
+  std::vector<std::uint32_t> frame_families_;
+  std::vector<LightweightPeer::PushOutcome> frame_outcomes_;
+  std::vector<LightweightPeer::PushOutcome> flush_outcomes_;
 
   std::uint64_t cursor_ns_ = 0;  ///< schedule-time cursor for script phases
   std::size_t since_reclaim_ = 0;

@@ -1,6 +1,7 @@
 #include "transport/interest_index.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "transport/transport_error.hpp"
 #include "util/error.hpp"
@@ -134,6 +135,25 @@ std::size_t InterestIndex::PostingList::collect(std::vector<std::uint32_t>& out)
     }
   }
   return appended;
+}
+
+void InterestIndex::PostingList::mark(std::vector<std::uint64_t>& bits,
+                                      std::size_t& words_used) const {
+  const Dir* dir = dir_.load(std::memory_order_acquire);
+  if (dir == nullptr) return;
+  const std::uint32_t n = dir->count.load(std::memory_order_acquire);
+  for (std::uint32_t base = 0; base < n; base += kChunkSize) {
+    const Chunk* chunk = dir->chunks[base / kChunkSize].load(std::memory_order_acquire);
+    const std::uint32_t limit = std::min(n - base, kChunkSize);
+    for (std::uint32_t i = 0; i < limit; ++i) {
+      const std::uint32_t v = chunk->slots[i].load(std::memory_order_relaxed);
+      if (v == kTombstone) continue;
+      const std::size_t word = v / 64;
+      if (word >= bits.size()) bits.resize(word + 1);
+      bits[word] |= std::uint64_t{1} << (v % 64);
+      words_used = std::max(words_used, word + 1);
+    }
+  }
 }
 
 void InterestIndex::PostingList::for_each(const std::function<bool(std::uint32_t)>& fn) const {
@@ -403,19 +423,29 @@ std::size_t InterestIndex::equivalence_candidates(std::uint64_t fingerprint,
 
 std::size_t InterestIndex::collect_matches(
     const std::function<bool(const InterestEntry&)>& accept, std::vector<SubscriberId>& out,
-    std::vector<util::InternedName>& interest_scratch) const {
+    MatchScratch& scratch, std::size_t limit) const {
   util::EpochManager::Pin pin(epochs_);
-  interest_scratch.clear();
+  scratch.interests.clear();
   out.clear();
-  collect_interests(interest_scratch);
-  for (const util::InternedName interest : interest_scratch) {
+  collect_interests(scratch.interests);
+  std::vector<std::uint64_t>& marks = scratch.marks;
+  std::size_t words = 0;
+  for (const util::InternedName interest : scratch.interests) {
     const Posting* posting = find_posting(interest);
     if (posting == nullptr || posting->subscribers.live() == 0) continue;
     if (!accept(InterestEntry{interest, posting->fingerprint})) continue;
-    posting->subscribers.collect(out);
+    posting->subscribers.mark(marks, words);
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  // Read the marks back in ascending id order (a subscriber of several
+  // accepted interests was marked once), zeroing every word touched so the
+  // bitmap is clean for the next call.
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t bits = marks[w];
+    marks[w] = 0;
+    for (; bits != 0 && out.size() < limit; bits &= bits - 1) {
+      out.push_back(static_cast<SubscriberId>(w * 64 + std::countr_zero(bits)));
+    }
+  }
   return out.size();
 }
 

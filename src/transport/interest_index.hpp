@@ -128,13 +128,23 @@ class InterestIndex {
   std::size_t equivalence_candidates(std::uint64_t fingerprint,
                                      std::vector<util::InternedName>& out) const;
 
+  /// Caller-owned scratch for collect_matches, reused across calls so a
+  /// hot publisher loop allocates nothing once warm. `marks` holds one bit
+  /// per SubscriberId; it grows lazily to the largest id ever collected
+  /// and is all-zero between calls.
+  struct MatchScratch {
+    std::vector<util::InternedName> interests;
+    std::vector<std::uint64_t> marks;
+  };
+
   /// The publish-path fan-out: the union of subscribers over every live
-  /// interest accepted by `accept`, sorted and deduplicated into `out`.
-  /// `interest_scratch` is caller-owned scratch (cleared here) so a hot
-  /// publisher loop allocates nothing once warm. Returns |out|.
+  /// interest accepted by `accept`, ascending and deduplicated into `out`
+  /// (cleared here), keeping only its `limit` smallest ids. The ids are
+  /// marked in `scratch.marks` and read back in order, never sorted: the
+  /// cost is O(collected ids + bitmap words). Returns |out|.
   std::size_t collect_matches(const std::function<bool(const InterestEntry&)>& accept,
-                              std::vector<SubscriberId>& out,
-                              std::vector<util::InternedName>& interest_scratch) const;
+                              std::vector<SubscriberId>& out, MatchScratch& scratch,
+                              std::size_t limit = SIZE_MAX) const;
 
   /// The manager snapshot readers must pin — callers outside a transport
   /// handler bracket their use of interests_of()/collect results in an
@@ -175,6 +185,10 @@ class InterestIndex {
     /// Snapshot read (caller pinned): appends live values in insertion
     /// order; returns how many were appended.
     std::size_t collect(std::vector<std::uint32_t>& out) const;
+    /// Snapshot read (caller pinned): sets bit v of `bits` for every live
+    /// value v, growing `bits` as needed; raises `words_used` to cover the
+    /// highest word set.
+    void mark(std::vector<std::uint64_t>& bits, std::size_t& words_used) const;
     /// Snapshot read (caller pinned): first live value accepted by `fn`.
     void for_each(const std::function<bool(std::uint32_t)>& fn) const;
 

@@ -5,7 +5,8 @@
 //   EventLoop        (time, seq)-ordered firing, clock coupling, clamping.
 //   InterestIndex    declaration-order matching, idempotent registration,
 //                    LIFO id reuse, tombstone compaction, fingerprint
-//                    buckets, sorted-union fan-out — plus a churn test
+//                    buckets, sorted-union fan-out (the capped selection
+//                    against the sort-and-truncate oracle) — plus a churn test
 //                    that TSan watches: concurrent subscribe/unsubscribe
 //                    against pinned snapshot readers.
 //   Scenario         the determinism contract: same seed => byte-identical
@@ -22,10 +23,12 @@
 // digests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "sim/event_loop.hpp"
@@ -34,6 +37,7 @@
 #include "transport/transport_error.hpp"
 #include "util/epoch.hpp"
 #include "util/interning.hpp"
+#include "util/rng.hpp"
 #include "util/sim_clock.hpp"
 
 namespace pti {
@@ -216,7 +220,7 @@ TEST(InterestIndexTest, CollectMatchesReturnsSortedUnion) {
   index.add_interest(s1, y, 2);
 
   std::vector<SubscriberId> out;
-  std::vector<InternedName> scratch;
+  InterestIndex::MatchScratch scratch;
   // Accept both interests: s0 subscribes to both but appears once.
   ASSERT_EQ(index.collect_matches([](const InterestEntry&) { return true; }, out, scratch),
             3u);
@@ -227,6 +231,138 @@ TEST(InterestIndexTest, CollectMatchesReturnsSortedUnion) {
                 [&](const InterestEntry& e) { return e.interest == y; }, out, scratch),
             2u);
   EXPECT_EQ(out, (std::vector<SubscriberId>{s0, s1}));
+}
+
+// The old publish fan-out, kept as the oracle for the bounded selection:
+// gather every accepted posting, sort, dedupe, drop the publisher, keep
+// the `cap` smallest.
+std::vector<SubscriberId> sorted_fanout(const InterestIndex& index,
+                                        const std::vector<InternedName>& accepted,
+                                        SubscriberId publisher, std::size_t cap) {
+  std::vector<SubscriberId> out;
+  for (const InternedName interest : accepted) index.collect_subscribers(interest, out);
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  out.erase(std::remove(out.begin(), out.end(), publisher), out.end());
+  if (out.size() > cap) out.resize(cap);
+  return out;
+}
+
+// What Scenario::match_targets does on the index path: the cap + 1
+// smallest matches, then the publisher dropped and the cap applied.
+std::vector<SubscriberId> capped_fanout(const InterestIndex& index,
+                                        const std::vector<InternedName>& accepted,
+                                        SubscriberId publisher, std::size_t cap,
+                                        InterestIndex::MatchScratch& scratch) {
+  std::vector<SubscriberId> out;
+  const std::size_t n = index.collect_matches(
+      [&](const InterestEntry& e) {
+        return std::find(accepted.begin(), accepted.end(), e.interest) != accepted.end();
+      },
+      out, scratch, cap + 1);
+  // The selection itself: exactly the cap + 1 smallest of the union.
+  std::vector<SubscriberId> smallest = sorted_fanout(index, accepted, transport::kNoSubscriber,
+                                                     SIZE_MAX);
+  if (smallest.size() > cap + 1) smallest.resize(cap + 1);
+  EXPECT_EQ(out, smallest);
+  EXPECT_EQ(n, out.size());
+  out.erase(std::remove(out.begin(), out.end(), publisher), out.end());
+  if (out.size() > cap) out.resize(cap);
+  return out;
+}
+
+TEST(InterestIndexTest, CappedCollectMatchesEqualsSortUniqueTruncate) {
+  std::vector<InternedName> names;
+  for (int i = 0; i < 6; ++i) names.push_back(intern("simidx.cap.T" + std::to_string(i)));
+  std::size_t reused_hits = 0, multi_hits = 0, publisher_hits = 0;
+  std::size_t below = 0, at = 0, above = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    util::Rng rng(seed);
+    InterestIndex index;
+    std::vector<SubscriberId> live;
+    const auto subscribe = [&](SubscriberId sub) {
+      const std::size_t count = 1 + rng.next_below(3);
+      for (std::size_t k = 0; k < count; ++k) {
+        const std::size_t i = rng.next_below(names.size());
+        index.add_interest(sub, names[i], i);
+      }
+      live.push_back(sub);
+    };
+    const std::size_t population = 40 + rng.next_below(400);
+    for (std::size_t i = 0; i < population; ++i) subscribe(index.add_subscriber());
+    // Churn: a third leave, half of those ids come back LIFO with fresh
+    // interests, so reused ids sit among never-freed ones.
+    std::vector<SubscriberId> reused;
+    for (std::size_t i = 0; i < population / 3; ++i) {
+      const std::size_t at_pos = rng.next_below(live.size());
+      index.remove_subscriber(live[at_pos]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(at_pos));
+    }
+    for (std::size_t i = 0; i < population / 6; ++i) {
+      const SubscriberId sub = index.add_subscriber();
+      reused.push_back(sub);
+      subscribe(sub);
+    }
+
+    InterestIndex::MatchScratch scratch;
+    for (int publish = 0; publish < 40; ++publish) {
+      std::vector<InternedName> accepted;
+      for (const InternedName name : names) {
+        if (rng.next_bool(0.4)) accepted.push_back(name);
+      }
+      const std::vector<SubscriberId> all =
+          sorted_fanout(index, accepted, transport::kNoSubscriber, SIZE_MAX);
+      // The cap just below, at and above the match count, plus small and
+      // huge ones; the publisher is one of the smallest matches half the
+      // time, otherwise any live subscriber.
+      const std::size_t caps[] = {all.empty() ? 0 : all.size() - 1, all.size(),
+                                  all.size() + 1, rng.next_below(8), 64};
+      for (const std::size_t cap : caps) {
+        const SubscriberId publisher =
+            !all.empty() && rng.next_bool(0.5)
+                ? all[rng.next_below(std::min<std::size_t>(all.size(), cap + 1))]
+                : live[rng.next_below(live.size())];
+        const std::vector<SubscriberId> expected =
+            sorted_fanout(index, accepted, publisher, cap);
+        ASSERT_EQ(capped_fanout(index, accepted, publisher, cap, scratch), expected)
+            << "seed " << seed << " publish " << publish << " cap " << cap;
+        for (const std::uint64_t word : scratch.marks) ASSERT_EQ(word, 0u);
+
+        below += all.size() < cap;
+        at += all.size() == cap;
+        above += all.size() > cap;
+        const auto kept =
+            all.begin() + static_cast<std::ptrdiff_t>(std::min(all.size(), cap + 1));
+        publisher_hits += std::find(all.begin(), kept, publisher) != kept;
+        for (const SubscriberId sub : expected) {
+          reused_hits += std::find(reused.begin(), reused.end(), sub) != reused.end();
+          const auto* held = index.interests_of(sub);
+          std::size_t matched = 0;
+          for (const InterestEntry& e : *held) {
+            matched +=
+                std::find(accepted.begin(), accepted.end(), e.interest) != accepted.end();
+          }
+          multi_hits += matched > 1;
+        }
+      }
+      // An unbounded call is the whole sorted union.
+      std::vector<SubscriberId> unbounded;
+      index.collect_matches(
+          [&](const InterestEntry& e) {
+            return std::find(accepted.begin(), accepted.end(), e.interest) != accepted.end();
+          },
+          unbounded, scratch);
+      ASSERT_EQ(unbounded, all);
+    }
+    index.epochs().try_reclaim();
+  }
+  // The corpus reached every shape the selection must get right.
+  EXPECT_GT(reused_hits, 0u);
+  EXPECT_GT(multi_hits, 0u);
+  EXPECT_GT(publisher_hits, 0u);
+  EXPECT_GT(below, 0u);
+  EXPECT_GT(at, 0u);
+  EXPECT_GT(above, 0u);
 }
 
 // The TSan target: writers churn subscriptions on a shared index while
@@ -375,6 +511,41 @@ TEST(ScenarioDeterminism, ChurnAndPartitionWavesReplay) {
   EXPECT_GT(a.stats.drops, 0u);  // the storm overlapped live partitions
 }
 
+// Known answers for batched session mode, recorded from the string-keyed,
+// sort-based implementation this one replaced: the bounded fan-out, the
+// index-keyed session bits and the grouped flush must leave every frame
+// byte-identical (the stats digest folds net bytes and messages). The
+// second universe has 130 families, so session bits span three words.
+TEST(ScenarioDeterminism, BatchedSessionKnownAnswers) {
+  struct KnownAnswer {
+    std::uint64_t seed;
+    std::size_t peers, types, groups, cap, batch;
+    std::uint64_t trace, accept, stats, net_bytes;
+  };
+  const KnownAnswer answers[] = {
+      {13, 60, 8, 2, 16, 4, 0x7bcf22cb5d0776c8ULL, 0x5ab3f920c9f054f5ULL,
+       0xfa3f332b95a88fe4ULL, 731783},
+      {7, 400, 130, 6, 32, 8, 0x01ed7a4e7cb3f846ULL, 0xe1052fa7eac9e610ULL,
+       0x07dcc84d730527c2ULL, 5076884},
+  };
+  for (const KnownAnswer& k : answers) {
+    ScenarioConfig config;
+    config.seed = k.seed;
+    config.peers = k.peers;
+    config.types = k.types;
+    config.type_groups = k.groups;
+    config.fanout_cap = k.cap;
+    config.use_sessions = true;
+    config.session_batch = k.batch;
+    const ScenarioResult r = sim::run_scenario(config, ScenarioScript::standard(k.peers));
+    EXPECT_EQ(r.trace_digest, k.trace) << "seed " << k.seed;
+    EXPECT_EQ(r.accept_digest, k.accept) << "seed " << k.seed;
+    EXPECT_EQ(r.stats_digest, k.stats) << "seed " << k.seed;
+    EXPECT_EQ(r.stats.net_bytes, k.net_bytes) << "seed " << k.seed;
+    EXPECT_GT(r.stats.session_batch_entries, r.stats.session_batch_frames);
+  }
+}
+
 // --- Protocol-mode and matching-path equivalence -----------------------------
 
 TEST(ScenarioEquivalence, EagerAndOptimisticAgreeOnEveryVerdict) {
@@ -400,19 +571,33 @@ TEST(ScenarioEquivalence, EagerAndOptimisticAgreeOnEveryVerdict) {
   EXPECT_EQ(eager.stats.typeinfo_requests, 0u);
 }
 
+// Both matching paths must produce identical runs, cold and in batched
+// session mode (where the capped fan-out also feeds the index-keyed
+// session state and the grouped flush).
 TEST(ScenarioEquivalence, InvertedIndexAndPerPeerScanProduceIdenticalRuns) {
   const ScenarioScript script = ScenarioScript::standard(600);
-  ScenarioConfig config;
-  config.seed = 23;
-  config.peers = 600;
-  config.use_inverted_index = true;
-  const ScenarioResult indexed = sim::run_scenario(config, script);
-  config.use_inverted_index = false;
-  const ScenarioResult scanned = sim::run_scenario(config, script);
+  for (const bool batched : {false, true}) {
+    ScenarioConfig config;
+    config.seed = 23;
+    config.peers = 600;
+    config.use_sessions = batched;
+    config.session_batch = batched ? 16 : 1;
+    config.use_inverted_index = true;
+    const ScenarioResult indexed = sim::run_scenario(config, script);
+    config.use_inverted_index = false;
+    const ScenarioResult scanned = sim::run_scenario(config, script);
 
-  EXPECT_EQ(indexed.trace_digest, scanned.trace_digest);
-  EXPECT_EQ(indexed.accept_digest, scanned.accept_digest);
-  EXPECT_EQ(indexed.stats_digest, scanned.stats_digest);
+    EXPECT_EQ(indexed.trace_digest, scanned.trace_digest) << "batched " << batched;
+    EXPECT_EQ(indexed.accept_digest, scanned.accept_digest) << "batched " << batched;
+    EXPECT_EQ(indexed.stats_digest, scanned.stats_digest) << "batched " << batched;
+    EXPECT_EQ(indexed.stats.session_batch_frames > 0, batched);
+
+    // The cap bound: without it the same script delivers more.
+    config.use_inverted_index = true;
+    config.fanout_cap = SIZE_MAX;
+    const ScenarioResult uncapped = sim::run_scenario(config, script);
+    EXPECT_GT(uncapped.stats.deliveries, indexed.stats.deliveries) << "batched " << batched;
+  }
 }
 
 TEST(ScenarioEquivalence, SessionModeAgreesWhileWireCostCollapses) {
@@ -537,12 +722,68 @@ TEST(ScenarioEquivalence, SharedIntrosBeatColdOnAColdHeavyStorm) {
                                   std::to_string(batched.stats.net_bytes));
 }
 
+// Receiver session state is keyed by the push's token (the sender's index
+// + 1). An intro under a token that names no peer index cannot be kept, so
+// the push is answered with a Reset; under the largest token in range the
+// binding is kept and a later intro-less push on it is decided normally.
+// The 70-family universe puts the pushed type in the second bit word.
+TEST(LightweightPeerSessions, TokenOutsideThePeerIndexRangeNamesNoSession) {
+  ScenarioConfig config;
+  config.seed = 3;
+  config.peers = 4;
+  config.types = 70;
+  config.use_sessions = true;
+  Scenario scenario(config);
+  sim::TypeUniverse& universe = scenario.universe();
+  const std::uint32_t family = 69;
+  scenario.network().attach("outsider", [&](const transport::Message& request) {
+    transport::CodeResponse code;
+    code.assembly_name = std::get<transport::CodeRequest>(request.payload).assembly_name;
+    code.found = true;
+    code.code_bytes = universe.assembly_code_size(family);
+    return transport::Message{"outsider", request.sender, std::move(code)};
+  });
+
+  transport::SessionPush push;
+  push.wire_types = {family + 1};
+  push.encoding = universe.payload_encoding();
+  push.payload = universe.payload_bytes(family);
+  transport::SessionIntro intro;
+  intro.wire_id = family + 1;
+  intro.type_name = universe.publisher_type_name(family);
+  intro.description_xml = universe.description_xml(family);
+  intro.assembly_name = universe.assembly_name(family);
+  push.intros.push_back(intro);
+  const auto send = [&](const transport::SessionPush& p) {
+    const transport::Message response =
+        scenario.network().send(transport::Message{"outsider", "p1", p});
+    const auto* ack = std::get_if<transport::SessionAck>(&response.payload);
+    EXPECT_NE(ack, nullptr) << response.kind_name();
+    return ack != nullptr ? ack->status : transport::SessionStatus::Reset;
+  };
+
+  for (const std::uint64_t token : {std::uint64_t{0}, (std::uint64_t{1} << 32) + 1,
+                                    ~std::uint64_t{0}}) {
+    push.token = token;
+    EXPECT_EQ(send(push), transport::SessionStatus::Reset) << "token " << token;
+  }
+  push.token = std::uint64_t{1} << 32;
+  EXPECT_EQ(send(push), transport::SessionStatus::Ok);
+  push.intros.clear();
+  EXPECT_EQ(send(push), transport::SessionStatus::Ok);
+  push.token = 2;  // a different session never saw the intro
+  EXPECT_EQ(send(push), transport::SessionStatus::Reset);
+}
+
 // --- Scale gate --------------------------------------------------------------
 
 // Env knobs:
 //   PTI_SIM_PEERS  population size (default 3000; smoke 10^4; soak 10^5+)
 //   PTI_SIM_RUNS   determinism repetitions (default 2; every run must match)
 //   PTI_SIM_SEED   scenario seed (default 42)
+// Each run also replays the script in the perfbench storm's batched mode
+// (sessions, windows of 16): its accept digest must equal the cold run's,
+// and its own digests must repeat across runs.
 TEST(SimScale, PopulationScenario) {
   const std::size_t peers = env_u64("PTI_SIM_PEERS", 3000);
   const std::size_t runs = std::max<std::uint64_t>(env_u64("PTI_SIM_RUNS", 2), 1);
@@ -551,12 +792,21 @@ TEST(SimScale, PopulationScenario) {
   config.peers = peers;
   config.types = 64;
   config.type_groups = 16;
+  ScenarioConfig batched_config = config;
+  batched_config.use_sessions = true;
+  batched_config.session_batch = 16;
   const ScenarioScript script = ScenarioScript::standard(peers);
 
   ScenarioResult reference;
+  ScenarioResult batched_reference;
   for (std::size_t run = 0; run < runs; ++run) {
     const ScenarioResult result = sim::run_scenario(config, script);
+    const ScenarioResult batched = sim::run_scenario(batched_config, script);
+    EXPECT_EQ(batched.accept_digest, result.accept_digest) << "run " << run;
+    EXPECT_EQ(batched.stats.deliveries, result.stats.deliveries) << "run " << run;
     if (run == 0) {
+      batched_reference = batched;
+      EXPECT_GT(batched.stats.session_batch_frames, 0u);
       reference = result;
       EXPECT_GE(result.stats.index_subscribers, peers - peers / 10);
       EXPECT_GT(result.stats.accepts, 0u);
@@ -571,6 +821,8 @@ TEST(SimScale, PopulationScenario) {
       EXPECT_EQ(result.trace_digest, reference.trace_digest) << "run " << run;
       EXPECT_EQ(result.accept_digest, reference.accept_digest) << "run " << run;
       EXPECT_EQ(result.stats_digest, reference.stats_digest) << "run " << run;
+      EXPECT_EQ(batched.trace_digest, batched_reference.trace_digest) << "run " << run;
+      EXPECT_EQ(batched.stats_digest, batched_reference.stats_digest) << "run " << run;
     }
   }
 }

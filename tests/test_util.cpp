@@ -6,6 +6,7 @@
 
 #include "util/base64.hpp"
 #include "util/byte_buffer.hpp"
+#include "util/dense_id_map.hpp"
 #include "util/guid.hpp"
 #include "util/hash.hpp"
 #include "util/levenshtein.hpp"
@@ -327,6 +328,32 @@ TEST(Rng, DeterministicAndBounded) {
     EXPECT_GE(d, 0.0);
     EXPECT_LT(d, 1.0);
   }
+}
+
+TEST(DenseIdMap, NumbersKeysInFirstInsertOrderAcrossGrowthAndClear) {
+  DenseIdMap<std::uint64_t> map;
+  EXPECT_EQ(map.find(7), DenseIdMap<std::uint64_t>::kNone);
+  // Keys that collide in the low bits, the extremes, and enough of them to
+  // double the table several times.
+  std::vector<std::uint64_t> keys = {0, ~std::uint64_t{0}, 0xFFFFFFFFull};
+  for (std::uint64_t k = 1; k <= 300; ++k) keys.push_back(k << 32);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(map.intern(keys[i]), i);
+    EXPECT_EQ(map.intern(keys[i]), i);  // idempotent
+  }
+  EXPECT_EQ(map.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) EXPECT_EQ(map.find(keys[i]), i);
+  EXPECT_EQ(map.find(12345), DenseIdMap<std::uint64_t>::kNone);
+
+  map.clear();
+  EXPECT_EQ(map.size(), 0u);
+  for (const std::uint64_t key : keys) {
+    EXPECT_EQ(map.find(key), DenseIdMap<std::uint64_t>::kNone);
+  }
+  // Numbering restarts from 0 in the new first-insert order.
+  EXPECT_EQ(map.intern(keys[5]), 0u);
+  EXPECT_EQ(map.intern(keys[0]), 1u);
+  EXPECT_EQ(map.find(keys[5]), 0u);
 }
 
 TEST(SimClock, AdvancesMonotonically) {
